@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"redoop/internal/colfmt"
 	"redoop/internal/core"
 	"redoop/internal/experiments"
 	"redoop/internal/forecast"
@@ -169,11 +170,12 @@ func BenchmarkFig6WorkersMax(b *testing.B) { benchFig6AtWorkers(b, 0) }
 // --- Micro-benchmarks of the mechanisms the figures exercise ---
 
 // BenchmarkMapReduceJob measures one complete plain job on the
-// simulated cluster (real map/reduce execution over 16k records).
+// simulated cluster (real map/reduce execution over 16k records read
+// zero-copy from a columnar pane file).
 func BenchmarkMapReduceJob(b *testing.B) {
 	wcc := workload.DefaultWCC(1)
 	recs := workload.WCC(wcc, 0, int64(time.Hour), 16000)
-	data := records.Encode(recs)
+	data := colfmt.EncodeRecords(recs)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := experiments.Default()
@@ -277,7 +279,8 @@ func BenchmarkGroupPairs(b *testing.B) {
 	}
 }
 
-// BenchmarkPairEncoding measures the cache serialization round trip.
+// BenchmarkPairEncoding measures the columnar cache serialization
+// round trip.
 func BenchmarkPairEncoding(b *testing.B) {
 	pairs := make([]records.Pair, 5000)
 	for i := range pairs {
@@ -288,8 +291,8 @@ func BenchmarkPairEncoding(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc := records.EncodePairs(pairs)
-		dec, err := records.DecodePairs(enc)
+		enc := colfmt.EncodePairs(pairs)
+		dec, err := colfmt.DecodePairs(enc)
 		if err != nil || len(dec) != len(pairs) {
 			b.Fatal("round trip failed")
 		}

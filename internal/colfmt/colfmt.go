@@ -1,10 +1,8 @@
-// Package colfmt is the columnar pane encoding: the zero-copy
-// successor to the row-oriented internal/records framing for pane
-// files and cached reduce intermediates.
+// Package colfmt is the one byte format of pane files and cached
+// reduce intermediates: every pane, cache and job output the system
+// persists is written and read here, and nowhere else.
 //
-// A row-encoded pane interleaves per-record headers with payloads, so
-// decoding allocates and copies once per record. The columnar layout
-// instead groups each field into one contiguous block — timestamps,
+// The layout groups each field into one contiguous block — timestamps,
 // then cumulative payload offsets, then one payload blob — so a
 // decoder materializes records as slices aliasing the encoded buffer:
 // no per-record allocation, no copies, and the whole segment is
@@ -59,27 +57,11 @@ var (
 )
 
 // ErrCorrupt reports a structurally invalid or checksum-failing
-// segment. Callers treat it exactly like a row-decode error: the pane
-// is unusable and the recovery ladder recomputes it.
+// segment. The pane is unusable and the recovery ladder recomputes it.
 var ErrCorrupt = errors.New("colfmt: corrupt segment")
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-}
-
-// IsColumnar reports whether data begins with a columnar segment
-// magic. Empty data is columnar by convention: both encoders emit zero
-// bytes for zero records, so an empty pane decodes on either path.
-func IsColumnar(data []byte) bool {
-	if len(data) == 0 {
-		return true
-	}
-	if len(data) < 4 {
-		return false
-	}
-	var m [4]byte
-	copy(m[:], data)
-	return m == magicRecords || m == magicPairs
 }
 
 // AppendRecords appends one record segment holding recs to dst and
@@ -340,34 +322,13 @@ func DecodePairs(data []byte) ([]records.Pair, error) {
 	return out, nil
 }
 
-// DecodeRecordsAny decodes columnar data zero-copy and falls back to
-// the row format for legacy bytes (the row path copies, as it always
-// did). The dispatch is by magic prefix; the columnar magics are not
-// valid row framing for any pane this system writes.
-func DecodeRecordsAny(data []byte) ([]records.Record, error) {
-	if IsColumnar(data) {
-		return DecodeRecords(data)
-	}
-	return records.Decode(data)
-}
-
-// DecodePairsAny decodes columnar pair data zero-copy, falling back to
-// the row format for legacy bytes.
-func DecodePairsAny(data []byte) ([]records.Pair, error) {
-	if IsColumnar(data) {
-		return DecodePairs(data)
-	}
-	return records.DecodePairs(data)
-}
-
 // VisitRecords walks a file of concatenated record segments calling
 // fn(off, ts, payload) per record, where off is the file offset of the
-// record's payload start — the columnar analogue of the row format's
-// record offset, used for Hadoop-convention split bucketing ("a record
-// belongs to the split containing its first byte"). Offsets are
-// non-decreasing and always lie inside the record's own segment, so a
-// record is never attributed outside its pane. payload aliases data.
-// fn returning false stops the walk early.
+// record's payload start, used for Hadoop-convention split bucketing
+// ("a record belongs to the split containing its first byte").
+// Offsets are non-decreasing and always lie inside the record's own
+// segment, so a record is never attributed outside its pane. payload
+// aliases data. fn returning false stops the walk early.
 func VisitRecords(data []byte, fn func(off int, ts int64, payload []byte) bool) error {
 	base := 0
 	for base < len(data) {
@@ -394,21 +355,6 @@ func VisitRecords(data []byte, fn func(off int, ts int64, payload []byte) bool) 
 		base += segLen
 	}
 	return nil
-}
-
-// CountRecords returns the number of records in a columnar file
-// without materializing views.
-func CountRecords(data []byte) (int, error) {
-	total := 0
-	for len(data) > 0 {
-		n, _, _, _, segLen, err := recSegment(data)
-		if err != nil {
-			return 0, err
-		}
-		total += n
-		data = data[segLen:]
-	}
-	return total, nil
 }
 
 // bufPool recycles encode scratch buffers for the hot encode paths

@@ -41,8 +41,7 @@ func genPairs(rng *rand.Rand, n int) []records.Pair {
 // TestRecordsRoundTrip is the round-trip property: for random batches
 // — including the zero-record and single-record panes the packer's
 // edge cases produce — encode→decode returns byte- and order-identical
-// records, and the columnar bytes decode to exactly what the row
-// format's decode of the row encoding yields.
+// records.
 func TestRecordsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -64,20 +63,13 @@ func TestRecordsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		rowGot, err := records.Decode(records.Encode(recs))
-		if err != nil {
-			t.Fatalf("trial %d: row decode: %v", trial, err)
-		}
-		if len(got) != len(recs) || len(rowGot) != len(recs) {
-			t.Fatalf("trial %d: decoded %d columnar / %d row records, want %d", trial, len(got), len(rowGot), n)
+		if len(got) != len(recs) {
+			t.Fatalf("trial %d: decoded %d records, want %d", trial, len(got), n)
 		}
 		for i := range recs {
 			if got[i].Ts != recs[i].Ts || !bytes.Equal(got[i].Data, recs[i].Data) {
 				t.Fatalf("trial %d: record %d mismatch: got (%d,%q) want (%d,%q)",
 					trial, i, got[i].Ts, got[i].Data, recs[i].Ts, recs[i].Data)
-			}
-			if rowGot[i].Ts != got[i].Ts || !bytes.Equal(rowGot[i].Data, got[i].Data) {
-				t.Fatalf("trial %d: record %d: columnar and row paths disagree", trial, i)
 			}
 		}
 		// Concatenated segments (one per pane in a shared group file)
@@ -93,7 +85,7 @@ func TestRecordsRoundTrip(t *testing.T) {
 }
 
 // TestPairsRoundTrip is the pair-schema half of the round-trip
-// property, against the row path's DecodePairs as the reference.
+// property.
 func TestPairsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -115,19 +107,12 @@ func TestPairsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		rowGot, err := records.DecodePairs(records.EncodePairs(pairs))
-		if err != nil {
-			t.Fatalf("trial %d: row decode: %v", trial, err)
-		}
-		if len(got) != len(pairs) || len(rowGot) != len(pairs) {
-			t.Fatalf("trial %d: decoded %d columnar / %d row pairs, want %d", trial, len(got), len(rowGot), n)
+		if len(got) != len(pairs) {
+			t.Fatalf("trial %d: decoded %d pairs, want %d", trial, len(got), n)
 		}
 		for i := range pairs {
 			if !bytes.Equal(got[i].Key, pairs[i].Key) || !bytes.Equal(got[i].Value, pairs[i].Value) {
 				t.Fatalf("trial %d: pair %d mismatch", trial, i)
-			}
-			if !bytes.Equal(rowGot[i].Key, got[i].Key) || !bytes.Equal(rowGot[i].Value, got[i].Value) {
-				t.Fatalf("trial %d: pair %d: columnar and row paths disagree", trial, i)
 			}
 		}
 	}
@@ -156,9 +141,12 @@ func TestVisitRecordsOffsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var file []byte
 	var bounds []int // segment boundaries, ascending
+	want := 0
 	for seg := 0; seg < 4; seg++ {
 		bounds = append(bounds, len(file))
-		file = AppendRecords(file, genRecords(rng, 1+rng.Intn(20)))
+		n := 1 + rng.Intn(20)
+		want += n
+		file = AppendRecords(file, genRecords(rng, n))
 	}
 	bounds = append(bounds, len(file))
 	prev := -1
@@ -184,9 +172,25 @@ func TestVisitRecordsOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("visit: %v", err)
 	}
-	n, err := CountRecords(file)
-	if err != nil || n != count {
-		t.Fatalf("CountRecords = %d, %v; visit saw %d", n, err, count)
+	if count != want {
+		t.Fatalf("visit saw %d records, want %d", count, want)
+	}
+}
+
+// TestVisitRecordsEarlyStop pins that fn returning false ends the walk
+// after the current record, across segment boundaries too.
+func TestVisitRecordsEarlyStop(t *testing.T) {
+	file := AppendRecords(EncodeRecords([]records.Record{{Ts: 1}}), []records.Record{{Ts: 2}, {Ts: 3}})
+	var seen []int64
+	err := VisitRecords(file, func(_ int, ts int64, _ []byte) bool {
+		seen = append(seen, ts)
+		return ts < 2
+	})
+	if err != nil {
+		t.Fatalf("visit: %v", err)
+	}
+	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
+		t.Errorf("seen = %v, want [1 2]", seen)
 	}
 }
 
@@ -199,15 +203,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	recEnc := EncodeRecords(genRecords(rng, 20))
 	pairEnc := EncodePairs(genPairs(rng, 20))
 
+	// check asserts data is rejected as ErrCorrupt by both decoders:
+	// none of the inputs below is a valid segment of either kind.
 	check := func(name string, data []byte) {
 		t.Helper()
-		if _, err := DecodeRecords(data); err == nil && !IsColumnar(data) {
-			t.Errorf("%s: DecodeRecords accepted non-columnar bytes", name)
-		} else if err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: DecodeRecords error %v does not wrap ErrCorrupt", name, err)
+		if _, err := DecodeRecords(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeRecords: got %v, want ErrCorrupt", name, err)
 		}
-		if _, err := DecodePairs(data); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: DecodePairs error %v does not wrap ErrCorrupt", name, err)
+		if _, err := DecodePairs(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodePairs: got %v, want ErrCorrupt", name, err)
 		}
 	}
 
@@ -225,9 +229,6 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			flipped[i] ^= 0xA5
 		}
 		check("xor-"+name, flipped)
-		if _, err := DecodeRecords(flipped); name == "records" && !errors.Is(err, ErrCorrupt) {
-			t.Errorf("xor-corrupted record segment: got %v, want ErrCorrupt", err)
-		}
 	}
 	// Single bit flips anywhere in the segment: the CRC (or a bounds
 	// check) must catch every one of them.
@@ -243,6 +244,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	check("zero count", append(append([]byte(nil), "RCR1"...), 0, 0, 0, 0))
 	check("short header", []byte("RCR1\x01"))
 	check("trailing garbage", append(append([]byte(nil), recEnc...), 'x'))
+	check("legacy row bytes", []byte("\x02\x01a\x04\x02bc\x06\x00"))
 }
 
 // FuzzColumnarPane mirrors FuzzParsePaneHeader for the columnar
@@ -269,7 +271,9 @@ func FuzzColumnarPane(f *testing.F) {
 	f.Add([]byte("RCR1"))
 	f.Add([]byte("RCR1\xff\xff\xff\xff"))
 	f.Add([]byte("RCP1\x00\x00\x00\x00"))
-	f.Add(records.Encode(genRecords(rng, 3))) // legacy row bytes
+	// Legacy row bytes (varint ts, varint length, payload per record)
+	// from the retired row framing.
+	f.Add([]byte("\x02\x01a\x04\x02bc\x06\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeRecords(data)
@@ -318,11 +322,6 @@ func FuzzColumnarPane(f *testing.F) {
 		if (visitErr == nil) != (err == nil) {
 			t.Fatalf("VisitRecords and DecodeRecords disagree: %v vs %v", visitErr, err)
 		}
-		// The Any dispatchers must never panic either; row-fallback
-		// errors need not wrap ErrCorrupt.
-		_, _ = DecodeRecordsAny(data)
-		_, _ = DecodePairsAny(data)
-		_, _ = CountRecords(data)
 	})
 }
 

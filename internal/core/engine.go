@@ -1042,11 +1042,10 @@ func (e *Engine) readCache(ref cacheRef) ([]records.Pair, error) {
 		}
 		return nil, fmt.Errorf("core: cache %s (%v) lost from node %d mid-recurrence", ref.pid, ref.typ, ref.node)
 	}
-	// Cache bytes are columnar; the decode is zero-copy over the
-	// registry's private copy (Registry.Get copies out of the node
-	// store, so the views cannot observe later cache mutations). The
-	// Any dispatch keeps legacy row-encoded test fixtures readable.
-	return colfmt.DecodePairsAny(data)
+	// The decode is zero-copy over the registry's private copy
+	// (Registry.Get copies out of the node store, so the views cannot
+	// observe later cache mutations).
+	return colfmt.DecodePairs(data)
 }
 
 // runPaneMapPhase maps one pane's physical segments. In proactive mode

@@ -141,10 +141,7 @@ func (e *Engine) candidatesOn(reg *Registry) []EvictCandidate {
 			continue
 		}
 		c := EvictCandidate{PID: pid, Node: sig.NID, Bytes: sig.Bytes, ReadyAt: sig.ReadyAt}
-		if f, ok := e.acct.Residency(pid, int(ReduceInput)); ok {
-			c.RecomputeNS, c.Hits = f.RecomputeNS, f.Hits
-		}
-		cands = append(cands, c)
+		cands = append(cands, Features(c, e.acct))
 	}
 	return cands
 }
@@ -187,9 +184,10 @@ func (e *Engine) EvictionLog() []string {
 	return append([]string(nil), e.evictLog...)
 }
 
-// Features is the ledger join evictOverCap performs, exported for
-// policy tests: the candidate annotated with the open residency's
-// recompute cost and hit count.
+// Features is the ledger join of the replacement scan: the candidate
+// annotated with the open residency's recompute cost and hit count
+// (left zero without a ledger or an open residency). candidatesOn
+// applies it to every candidate; it is exported for policy tests.
 func Features(c EvictCandidate, l *account.Ledger) EvictCandidate {
 	if f, ok := l.Residency(c.PID, int(ReduceInput)); ok {
 		c.RecomputeNS, c.Hits = f.RecomputeNS, f.Hits

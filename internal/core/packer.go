@@ -61,8 +61,9 @@ type Packer struct {
 	obsQuery string
 
 	// timeOfUnit maps a window-unit offset to a virtual instant. For
-	// time-based windows units are virtual nanoseconds (identity); for
-	// count-based windows the caller supplies the arrival mapping.
+	// time-based windows units are virtual nanoseconds (identity);
+	// count-based windows have no intrinsic arrival time, so every unit
+	// maps to instant zero.
 	timeOfUnit func(int64) simtime.Time
 
 	pending map[window.PaneID]map[int][]records.Record // pane -> sub -> records
@@ -110,14 +111,6 @@ func NewPacker(d *dfs.DFS, sourceName, dir string, frame window.Frame, plan Part
 	}
 	p.groupRecs = make(map[window.PaneID][]records.Record)
 	return p, nil
-}
-
-// SetTimeOfUnit overrides the unit→instant mapping (needed for
-// count-based windows where record ordinals are not instants).
-func (p *Packer) SetTimeOfUnit(fn func(int64) simtime.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.timeOfUnit = fn
 }
 
 // SetObserver attaches the observability layer and the query name used

@@ -269,7 +269,10 @@ func RunCrossQueryReuse(cfg Config, enabled bool) (*ReuseReport, error) {
 }
 
 // digestWriter folds canonicalized window outputs into one SHA-256.
-type digestWriter struct{ h [32]byte; any bool }
+type digestWriter struct {
+	h   [32]byte
+	any bool
+}
 
 func newDigestWriter() *digestWriter { return &digestWriter{} }
 

@@ -304,33 +304,6 @@ func (s *Store) BatchesForPane(query, source string, pane int64) []BatchRef {
 	return out
 }
 
-// LookupBatch returns a copy of a retained batch.
-func (s *Store) LookupBatch(query, source string, seq int) (Batch, bool) {
-	if s == nil {
-		return Batch{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.batches[BatchID(query, source, seq)]
-	if !ok {
-		return Batch{}, false
-	}
-	out := *b
-	out.Panes = append([]PaneRange(nil), b.Panes...)
-	return out, true
-}
-
-// BatchFloor returns the lowest retained batch seq of query/source —
-// references below it point at legitimately evicted batches.
-func (s *Store) BatchFloor(query, source string) int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batchFloor[srcKey(query, source)]
-}
-
 // RecordPlan registers a plan under its fingerprint. Two distinct
 // plans mapping to one fingerprint (an injectivity violation) is
 // latched and surfaces from Closure.
@@ -612,16 +585,6 @@ func (s *Store) RecordFileEvent(path string, ev FileEvent) {
 	}
 	ev.Nodes = append([]int(nil), ev.Nodes...)
 	s.files[path] = append(s.files[path], ev)
-}
-
-// FileEvents returns a copy of a path's replica history.
-func (s *Store) FileEvents(path string) []FileEvent {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]FileEvent(nil), s.files[path]...)
 }
 
 // RecordFault logs one applied chaos action for cause attribution.

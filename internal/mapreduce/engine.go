@@ -595,9 +595,9 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 // records into the splits by start offset. A record is delivered to
 // each split whose byte range contains its first byte; splits within
 // one map phase are expected not to overlap. Files decode in parallel
-// (the varint walk can't seek, so the file — not the split — is the
-// unit of parallelism); each file's records land in a private map that
-// is merged serially.
+// (segments are walked from the file's start, so the file — not the
+// split — is the unit of parallelism); each file's records land in a
+// private map that is merged serially.
 func (e *Engine) decodeForSplits(splits []Split) (map[string][]records.Record, error) {
 	var paths []string
 	byPath := make(map[string][]*Split)
@@ -622,30 +622,19 @@ func (e *Engine) decodeForSplits(splits []Split) (map[string][]records.Record, e
 			ids[j] = s.ID()
 		}
 		local := make(map[string][]records.Record)
-		visit := func(off int, ts int64, payload []byte) bool {
+		// Pane files decode zero-copy: the payload views alias data,
+		// which this call owns outright (DFS.Read returns a private
+		// copy), so no per-record copy is needed. The buffer is
+		// retained by the emitted records and must never be pooled or
+		// reused.
+		err = colfmt.VisitRecords(data, func(off int, ts int64, payload []byte) bool {
 			for j, s := range ss {
 				if int64(off) >= s.Lo && int64(off) < s.Hi {
 					local[ids[j]] = append(local[ids[j]], records.Record{Ts: ts, Data: payload})
 				}
 			}
 			return true
-		}
-		if colfmt.IsColumnar(data) {
-			// Columnar pane files decode zero-copy: the payload views
-			// alias data, which this call owns outright (DFS.Read
-			// returns a private copy), so no per-record copy is needed.
-			// The buffer is retained by the emitted records and must
-			// never be pooled or reused.
-			err = colfmt.VisitRecords(data, visit)
-		} else {
-			// Legacy row framing interleaves headers with payloads, so
-			// each payload is copied out of the walk buffer.
-			err = records.VisitOffsets(data, func(off int, ts int64, payload []byte) bool {
-				p := make([]byte, len(payload))
-				copy(p, payload)
-				return visit(off, ts, p)
-			})
-		}
+		})
 		if err != nil {
 			return err
 		}

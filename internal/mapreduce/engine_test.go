@@ -49,7 +49,7 @@ func writeWords(t *testing.T, e *Engine, path string, vocab []string, count int)
 		recs[i] = records.Record{Ts: int64(i), Data: []byte(w)}
 		want[w]++
 	}
-	if err := e.DFS.Write(path, records.Encode(recs)); err != nil {
+	if err := e.DFS.Write(path, colfmt.EncodeRecords(recs)); err != nil {
 		t.Fatal(err)
 	}
 	return want
@@ -214,48 +214,44 @@ func TestMissingInputFails(t *testing.T) {
 	}
 }
 
-// writeWordsColumnar is writeWords over the columnar pane encoding —
-// the format the packer writes for every new pane file.
-func writeWordsColumnar(t *testing.T, e *Engine, path string, vocab []string, count int) map[string]int {
-	t.Helper()
-	want := make(map[string]int)
-	recs := make([]records.Record, count)
-	for i := 0; i < count; i++ {
-		w := vocab[i%len(vocab)]
-		recs[i] = records.Record{Ts: int64(i), Data: []byte(w)}
-		want[w]++
-	}
-	if err := e.DFS.Write(path, colfmt.EncodeRecords(recs)); err != nil {
-		t.Fatal(err)
-	}
-	return want
-}
-
-// TestColumnarInputEndToEnd runs the same wordcount over columnar and
-// row-encoded copies of one batch: identical output, so the two input
-// framings are interchangeable at the job level.
+// TestColumnarInputEndToEnd runs the same wordcount over one batch
+// stored as a single segment and as many concatenated segments (the
+// shape of a §3.2 group file, where segment boundaries fall inside map
+// splits): identical output, so segment layout is invisible at the job
+// level.
 func TestColumnarInputEndToEnd(t *testing.T) {
 	e := testRig(t, 4)
 	vocab := []string{"apple", "banana", "cherry"}
-	want := writeWordsColumnar(t, e, "/in/col", vocab, 5000)
-	writeWords(t, e, "/in/row", vocab, 5000)
+	want := writeWords(t, e, "/in/one", vocab, 5000)
+	var multi []byte
+	for lo := 0; lo < 5000; lo += 700 {
+		hi := min(lo+700, 5000)
+		batch := make([]records.Record, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			batch = append(batch, records.Record{Ts: int64(i), Data: []byte(vocab[i%len(vocab)])})
+		}
+		multi = colfmt.AppendRecords(multi, batch)
+	}
+	if err := e.DFS.Write("/in/multi", multi); err != nil {
+		t.Fatal(err)
+	}
 
-	colRes, err := e.Run(wordCountJob([]string{"/in/col"}, 3), 0)
+	oneRes, err := e.Run(wordCountJob([]string{"/in/one"}, 3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowRes, err := e.Run(wordCountJob([]string{"/in/row"}, 3), 0)
+	multiRes, err := e.Run(wordCountJob([]string{"/in/multi"}, 3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := outputCounts(t, colRes.Output)
+	got := outputCounts(t, oneRes.Output)
 	for w, n := range want {
 		if got[w] != n {
 			t.Errorf("count[%s] = %d, want %d", w, got[w], n)
 		}
 	}
-	if !bytes.Equal(colfmt.EncodePairs(colRes.Output), colfmt.EncodePairs(rowRes.Output)) {
-		t.Error("columnar and row inputs produce different outputs")
+	if !bytes.Equal(colfmt.EncodePairs(oneRes.Output), colfmt.EncodePairs(multiRes.Output)) {
+		t.Error("single- and multi-segment inputs produce different outputs")
 	}
 }
 
@@ -268,7 +264,7 @@ func TestColumnarInputEndToEnd(t *testing.T) {
 func TestCorruptColumnarInputFailsDeterministically(t *testing.T) {
 	for _, mode := range []string{"xor", "truncate"} {
 		e := testRig(t, 3)
-		writeWordsColumnar(t, e, "/in/pane", []string{"alpha", "beta"}, 2000)
+		writeWords(t, e, "/in/pane", []string{"alpha", "beta"}, 2000)
 		data, err := e.DFS.Read("/in/pane")
 		if err != nil {
 			t.Fatal(err)
@@ -480,7 +476,7 @@ func TestWordCountEquivalenceProperty(t *testing.T) {
 			recs[i] = records.Record{Ts: int64(i), Data: []byte(w)}
 			want[w]++
 		}
-		if err := e.DFS.Write("/in", records.Encode(recs)); err != nil {
+		if err := e.DFS.Write("/in", colfmt.EncodeRecords(recs)); err != nil {
 			return false
 		}
 		res, err := e.Run(wordCountJob([]string{"/in"}, reducers), 0)
