@@ -109,21 +109,17 @@ type profileQueryJSON struct {
 	Query       string `json:"query"`
 	Recurrences int    `json:"recurrences"`
 	CritPathNS  int64  `json:"critPathNS"`
-	TimeSavedNS int64  `json:"timeSavedNS"`
 }
 
 // profileJSON folds the critical-path profiler into the trajectory:
-// total critical-path length across every recurrence the run executed,
-// the cache-benefit ledger's total time saved, and — when -par-bench
-// ran with more than one worker — the Amdahl-style serial fraction
-// implied by the measured wall-clock speedup. LedgerOK records whether
-// every reused pane's modeled saving was non-negative and every
-// critical path tiled its recurrence exactly.
+// total critical-path length across every recurrence the run executed
+// and — when -par-bench ran with more than one worker — the
+// Amdahl-style serial fraction implied by the measured wall-clock
+// speedup. CritPathOK records whether every critical path tiled its
+// recurrence exactly. Cache savings live in the costs block.
 type profileJSON struct {
 	CritPathNS     int64              `json:"critPathNS"`
-	TimeSavedNS    int64              `json:"timeSavedNS"`
-	ReusedPanes    int                `json:"reusedPanes"`
-	LedgerOK       bool               `json:"ledgerOK"`
+	CritPathOK     bool               `json:"critPathOK"`
 	SerialFraction *float64           `json:"serialFraction,omitempty"`
 	Queries        []profileQueryJSON `json:"queries,omitempty"`
 }
@@ -364,22 +360,20 @@ func parallelSummary(par *experiments.ParallelSpeedupResult) *parallelJSON {
 }
 
 // profileSummary reconstructs the run's task DAG from the observer's
-// span and event streams and folds the profiler aggregates into the
-// summary schema. Returns nil when no recurrence spans were recorded
+// span stream and folds the profiler aggregates into the summary
+// schema. Returns nil when no recurrence spans were recorded
 // (e.g. an observer-less run).
 func profileSummary(ob *obs.Observer, par *experiments.ParallelSpeedupResult) *profileJSON {
 	if ob == nil {
 		return nil
 	}
-	p := profile.Analyze(ob.Tracer.Events(), ob.Events.Events())
+	p := profile.Analyze(ob.Tracer.Events())
 	if len(p.Recurrences) == 0 {
 		return nil
 	}
 	pj := &profileJSON{
-		CritPathNS:  int64(p.CritPathTotal()),
-		TimeSavedNS: int64(p.TimeSaved()),
-		ReusedPanes: len(p.Ledger),
-		LedgerOK:    p.CheckInvariants() == nil,
+		CritPathNS: int64(p.CritPathTotal()),
+		CritPathOK: p.CheckInvariants() == nil,
 	}
 	if par != nil && par.Workers > 1 {
 		f := profile.SerialFraction(par.Speedup, par.Workers)
@@ -396,7 +390,6 @@ func profileSummary(ob *obs.Observer, par *experiments.ParallelSpeedupResult) *p
 			Query:       q,
 			Recurrences: len(qp.Recurrences),
 			CritPathNS:  int64(qp.CritPath),
-			TimeSavedNS: int64(qp.TimeSaved),
 		})
 	}
 	return pj

@@ -196,15 +196,16 @@ func compareHealth(old, cur summaryJSON) []healthDelta {
 // compareProfile reports movements in the profiler aggregates between
 // two trajectory entries. Informational only — critical-path length
 // scales with the workload each revision chose to run, so it never
-// gates; a ledger-invariant violation in the new entry is still
-// surfaced loudly so the line is hard to miss in CI logs.
+// gates; a critical path that fails to tile its recurrence in the new
+// entry is still surfaced loudly so the line is hard to miss in CI
+// logs. Cache savings are compared by compareCosts.
 func compareProfile(old, cur summaryJSON) []string {
 	if cur.Profile == nil {
 		return nil
 	}
 	var out []string
-	if !cur.Profile.LedgerOK {
-		out = append(out, "cache-benefit ledger invariant VIOLATED")
+	if !cur.Profile.CritPathOK {
+		out = append(out, "critical-path tiling invariant VIOLATED")
 	}
 	if old.Profile == nil {
 		return out
@@ -213,11 +214,6 @@ func compareProfile(old, cur summaryJSON) []string {
 		out = append(out, fmt.Sprintf("critical path %s -> %s  %+6.1f%%",
 			fmtNS(old.Profile.CritPathNS), fmtNS(cur.Profile.CritPathNS),
 			pctChange(old.Profile.CritPathNS, cur.Profile.CritPathNS)))
-	}
-	if old.Profile.TimeSavedNS > 0 {
-		out = append(out, fmt.Sprintf("cache time saved %s -> %s  %+6.1f%%",
-			fmtNS(old.Profile.TimeSavedNS), fmtNS(cur.Profile.TimeSavedNS),
-			pctChange(old.Profile.TimeSavedNS, cur.Profile.TimeSavedNS)))
 	}
 	if old.Profile.SerialFraction != nil && cur.Profile.SerialFraction != nil {
 		out = append(out, fmt.Sprintf("serial fraction %.3f -> %.3f",

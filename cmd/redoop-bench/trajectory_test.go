@@ -154,22 +154,25 @@ func TestRegressReportHealthLines(t *testing.T) {
 func TestCompareProfile(t *testing.T) {
 	sf := func(v float64) *float64 { return &v }
 	old := summaryJSON{Profile: &profileJSON{
-		CritPathNS: 1000, TimeSavedNS: 500, LedgerOK: true, SerialFraction: sf(0.2),
+		CritPathNS: 1000, CritPathOK: true, SerialFraction: sf(0.2),
 	}}
 	cur := summaryJSON{Profile: &profileJSON{
-		CritPathNS: 1200, TimeSavedNS: 400, LedgerOK: true, SerialFraction: sf(0.3),
+		CritPathNS: 1200, CritPathOK: true, SerialFraction: sf(0.3),
 	}}
 	notes := compareProfile(old, cur)
 	joined := strings.Join(notes, "\n")
-	for _, want := range []string{"critical path", "+20.0%", "cache time saved", "-20.0%", "serial fraction 0.200 -> 0.300"} {
+	for _, want := range []string{"critical path", "+20.0%", "serial fraction 0.200 -> 0.300"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("notes missing %q:\n%s", want, joined)
 		}
 	}
+	if len(notes) != 2 {
+		t.Errorf("notes = %v, want exactly the critical-path and serial-fraction lines", notes)
+	}
 
-	// A ledger violation in the new entry is reported even with no
+	// A tiling violation in the new entry is reported even with no
 	// prior profile to compare against.
-	cur.Profile.LedgerOK = false
+	cur.Profile.CritPathOK = false
 	notes = compareProfile(summaryJSON{}, cur)
 	if len(notes) != 1 || !strings.Contains(notes[0], "VIOLATED") {
 		t.Errorf("violation notes = %v", notes)
@@ -253,7 +256,8 @@ func TestCompareLineage(t *testing.T) {
 // costs and lineage blocks existed (none of those keys at all) must
 // still load and compare cleanly against a current entry that carries
 // them — the new blocks are informational-only for such pairs, never
-// an error.
+// an error. So must an entry whose profile block still carries the
+// retired cache-ledger keys (timeSavedNS, reusedPanes, ledgerOK).
 func TestTrajectoryToleratesOldFormatEntries(t *testing.T) {
 	dir := t.TempDir()
 	oldJSON := `{
@@ -281,7 +285,7 @@ func TestTrajectoryToleratesOldFormatEntries(t *testing.T) {
 	}
 
 	cur := mkSummary("modern", 1000, 100)
-	cur.Profile = &profileJSON{CritPathNS: 1200, LedgerOK: true}
+	cur.Profile = &profileJSON{CritPathNS: 1200, CritPathOK: true}
 	cur.Costs = &costsJSON{ConservationOK: true, Queries: []costQueryJSON{{Query: "q1", TotalComputeNS: 900}}}
 	cur.Lineage = &lineageJSON{Nodes: 100, Edges: 200, DistinctFingerprints: 1}
 
@@ -309,6 +313,48 @@ func TestTrajectoryToleratesOldFormatEntries(t *testing.T) {
 	}
 	if notes := compareLineage(old, cur); len(notes) != 0 {
 		t.Errorf("old entry without lineage produced comparison notes: %v", notes)
+	}
+
+	// An entry with the old profile block: the retired keys are
+	// ignored, critPathNS still compares, and the missing critPathOK
+	// on the old side raises no violation.
+	legacyJSON := `{
+		"tool": "redoop-bench",
+		"rev": "legacy",
+		"config": {"workers": 10},
+		"figures": [{
+			"name": "Figure 6", "query": "q1",
+			"panels": [{"overlap": 0.9, "series": [{
+				"system": "Redoop", "makespanNS": 1000, "meanSteadyNS": 100
+			}]}]
+		}],
+		"profile": {"critPathNS": 1000, "timeSavedNS": 500, "reusedPanes": 7, "ledgerOK": true,
+			"queries": [{"query": "q1", "recurrences": 4, "critPathNS": 1000, "timeSavedNS": 500}]}
+	}`
+	legacyDir := t.TempDir()
+	legacyPath := filepath.Join(legacyDir, "BENCH_legacy.json")
+	if err := os.WriteFile(legacyPath, []byte(legacyJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := readSummary(legacyPath)
+	if err != nil {
+		t.Fatalf("old-profile entry failed to load: %v", err)
+	}
+	if legacy.Profile == nil || legacy.Profile.CritPathNS != 1000 || len(legacy.Profile.Queries) != 1 {
+		t.Fatalf("old profile block decoded as %+v", legacy.Profile)
+	}
+	notes := compareProfile(legacy, cur)
+	if len(notes) != 1 || !strings.Contains(notes[0], "critical path") || !strings.Contains(notes[0], "+20.0%") {
+		t.Errorf("old-profile comparison notes = %v, want one critical-path line", notes)
+	}
+	time.Sleep(10 * time.Millisecond)
+	buf.Reset()
+	hard, err = runTrajectory(&buf, legacyDir, "modern2", cur, 5, 15, true)
+	if err != nil {
+		t.Fatalf("comparison against old-profile entry errored: %v", err)
+	}
+	if hard || !strings.Contains(buf.String(), "legacy -> modern2") || strings.Contains(buf.String(), "VIOLATED") {
+		t.Errorf("old-profile entry compared badly (hard=%v):\n%s", hard, buf.String())
 	}
 }
 

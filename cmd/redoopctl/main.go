@@ -53,13 +53,13 @@
 // compute pool, once on the -workers pool (default GOMAXPROCS) — and
 // prints the critical-path profile of the parallel run: per-query
 // critical-path length, phase and wait breakdowns, the top-K
-// critical-path segments, the cache-benefit ledger total, and an
-// Amdahl serial fraction inverted from the two runs' host wall-clock
-// speedup (the virtual results are byte-identical by construction, so
-// the comparison isolates host-side parallelism). The run fails with a
-// non-zero exit if any profiler invariant is violated: a critical path
-// that does not tile its recurrence's wall-clock exactly, or a ledger
-// entry whose cache-load cost exceeds the recompute cost it avoided.
+// critical-path segments, and an Amdahl serial fraction inverted from
+// the two runs' host wall-clock speedup (the virtual results are
+// byte-identical by construction, so the comparison isolates host-side
+// parallelism). The run fails with a non-zero exit if a critical path
+// does not tile its recurrence's wall-clock exactly. Cache savings are
+// reported by the "costs" subcommand, whose ledger also fails the run
+// when a reuse cost more than the recompute it avoided.
 // -folded-out writes the flamegraph folded stacks and -critpath-out
 // the Chrome-trace critical-path overlay (both also work outside the
 // profile subcommand, from the same instrumented run).
@@ -378,7 +378,7 @@ func main() {
 		}
 	}
 	if ob != nil && (profileMode || *foldedOut != "" || *critpathOut != "") {
-		p := profile.Analyze(ob.Tracer.Events(), ob.Events.Events())
+		p := profile.Analyze(ob.Tracer.Events())
 		if profileMode {
 			if err := p.Text(os.Stdout, *topK); err != nil {
 				fmt.Fprintf(os.Stderr, "redoopctl: profile report: %v\n", err)
@@ -408,9 +408,9 @@ func main() {
 				artifactErr = true
 			}
 		}
-		// The profiler's structural guarantees are part of the contract:
-		// a critical path that does not tile its recurrence, or a cache
-		// reuse that cost more than it saved, fails the invocation.
+		// The profiler's structural guarantee is part of the contract: a
+		// critical path that does not tile its recurrence fails the
+		// invocation.
 		if err := p.CheckInvariants(); err != nil {
 			fmt.Fprintf(os.Stderr, "redoopctl: %v\n", err)
 			artifactErr = true

@@ -17,8 +17,15 @@
 //   - IO bytes (DFS read/write/replication, shuffle), fed by
 //     internal/dfs and the shuffle accounting;
 //   - recompute nanoseconds saved by cache hits, net of the cache
-//     load cost actually paid (mirroring the critical-path profiler's
-//     pane-benefit model).
+//     load cost actually paid.
+//
+// Saving rule: a hit on a resident cache credits the consumer with the
+// recompute cost stored at registration (actual task costs on cold
+// builds, iocost-modeled costs on rebuilds); the first load of that
+// cache after the hit is netted out of the credit. Later loads of the
+// same cache in the recurrence are not netted — a rebuilt cache would
+// pay them too. A hit on a key with no open residency credits nothing.
+// This ledger is the only source of the time cache reuse saved.
 //
 // Determinism: every duration- or float-valued method is called only
 // from the engines' serial commit paths, so attribution is
@@ -30,7 +37,10 @@
 // busy time the engines charge to cluster nodes via AddLoad, so
 // SlotComputeNS(all queries) ≤ Σ Node.Load() always — the oracle
 // asserts it after every recurrence, and CheckConservation packages
-// the same test for CLIs.
+// the same test for CLIs. It also fails when any netted load exceeded
+// the recompute cost its hit credited: a reuse must never cost more
+// than the rebuild it avoided (the Eq. 4 placement and the iocost
+// model's Sort+DiskWrite floor guarantee this).
 package account
 
 import (
@@ -135,6 +145,9 @@ type queryAcct struct {
 	crossHits  int
 	registered int
 	expired    int
+	// overLoads counts netted loads that exceeded the recompute their
+	// hit credited; CheckConservation fails while it is non-zero.
+	overLoads int
 }
 
 // QueryCosts is one query's ledger snapshot.
@@ -160,7 +173,7 @@ type QueryCosts struct {
 	CurResidentBytes  int64   `json:"curResidentBytes"`
 
 	// SavedNS is recompute time cache hits avoided, net of the cache
-	// loads actually paid — the profiler's pane-benefit, per query.
+	// loads actually paid.
 	SavedNS int64 `json:"savedNS"`
 	// CrossSavedNS is the subset of SavedNS credited by cross-query
 	// reuse hits (gross: the net-of-load adjustment lands on SavedNS).
@@ -188,15 +201,22 @@ type Ledger struct {
 	queries map[string]*queryAcct
 	order   []string
 	open    map[string]*residency // key: pid|typ
-	// pending maps a hit cache's key to the consumer query whose
-	// saving must be netted by that cache's next load cost. Armed by
-	// CacheHit, consumed by the first subsequent CacheLoaded for the
-	// same key; loads of caches never hit leave savings untouched.
-	pending map[string]string
+	// pending maps a hit cache's key to the hit whose saving must be
+	// netted by that cache's next load cost. Armed by CacheHit,
+	// consumed by the first subsequent CacheLoaded for the same key;
+	// loads of caches never hit leave savings untouched.
+	pending map[string]pendingHit
 	// watermark is the latest virtual instant the ledger has been
 	// advanced to; open residencies accrue byte·seconds up to it when
 	// read.
 	watermark simtime.Time
+}
+
+// pendingHit is one armed net-of-load adjustment: the consumer query
+// credited by the hit and the recompute cost it was credited.
+type pendingHit struct {
+	query     string
+	recompute simtime.Duration
 }
 
 // New builds an empty ledger.
@@ -204,7 +224,7 @@ func New() *Ledger {
 	return &Ledger{
 		queries: map[string]*queryAcct{},
 		open:    map[string]*residency{},
-		pending: map[string]string{},
+		pending: map[string]pendingHit{},
 	}
 }
 
@@ -426,7 +446,7 @@ func (l *Ledger) cacheHit(query, pid string, typ int, at simtime.Time, cross boo
 			a.crossSaved += r.recompute
 			a.crossHits++
 		}
-		l.pending[key] = query
+		l.pending[key] = pendingHit{query, r.recompute}
 		saved = a.saved
 		o = l.obs
 	}
@@ -445,7 +465,8 @@ func (l *Ledger) cacheHit(query, pid string, typ int, at simtime.Time, cross boo
 // CacheLoaded nets the cost of reading cache pid/typ into its consumer
 // out of that consumer's saving — but only when a hit armed the
 // adjustment for this key. Loads of freshly built caches carry no
-// pending hit and leave SavedNS untouched.
+// pending hit and leave SavedNS untouched. A netted load larger than
+// the hit's recompute is counted as a violation for CheckConservation.
 func (l *Ledger) CacheLoaded(pid string, typ int, load simtime.Duration) {
 	if l == nil {
 		return
@@ -454,17 +475,20 @@ func (l *Ledger) CacheLoaded(pid string, typ int, load simtime.Duration) {
 	key := resKey(pid, typ)
 	var o *obs.Observer
 	var saved simtime.Duration
-	query, ok := l.pending[key]
+	hit, ok := l.pending[key]
 	if ok {
 		delete(l.pending, key)
-		a := l.acct(query)
+		a := l.acct(hit.query)
 		a.saved -= load
+		if load > hit.recompute {
+			a.overLoads++
+		}
 		saved = a.saved
 		o = l.obs
 	}
 	l.mu.Unlock()
 	if ok {
-		o.Gauge("redoop_query_saved_seconds", obs.L("query", query)).Set(saved.Seconds())
+		o.Gauge("redoop_query_saved_seconds", obs.L("query", hit.query)).Set(saved.Seconds())
 	}
 }
 
@@ -592,9 +616,11 @@ func (l *Ledger) SlotComputeNS(queries ...string) int64 {
 //     named) must not exceed busyNS — the cluster cannot have been
 //     busy for less time than the ledger attributed to queries;
 //  2. per query, registered == expired + open residencies — every
-//     byte·second interval is closed exactly once or still open.
+//     byte·second interval is closed exactly once or still open;
+//  3. per query, no netted cache load exceeded the recompute cost its
+//     hit credited — a reuse never costs more than it saved.
 //
-// Returns nil when both hold.
+// Returns nil when all three hold.
 func (l *Ledger) CheckConservation(busyNS int64, queries ...string) error {
 	if l == nil {
 		return nil
@@ -612,6 +638,10 @@ func (l *Ledger) CheckConservation(busyNS int64, queries ...string) error {
 		if a.registered != a.expired+openBy[a.name] {
 			return fmt.Errorf("account: query %s: %d residencies registered but %d expired + %d open",
 				a.name, a.registered, a.expired, openBy[a.name])
+		}
+		if a.overLoads > 0 {
+			return fmt.Errorf("account: query %s: %d cache load(s) cost more than the recompute their hit saved",
+				a.name, a.overLoads)
 		}
 		return nil
 	}

@@ -134,6 +134,68 @@ func TestSavedNetsOutLoadOnlyAfterHit(t *testing.T) {
 	}
 }
 
+// TestLedger replays a crafted register/hit/load sequence: a hit's
+// saving is the registered recompute minus the first load netted after
+// it, loads of caches that were not hit leave savings alone, and a hit
+// on an unregistered key credits nothing.
+func TestLedger(t *testing.T) {
+	l := New()
+	l.Register("q", "")
+	l.CacheRegistered("q", "P1", 0, 1000, 0, 100)
+	l.CacheRegistered("q", "P2", 0, 500, 0, 50)
+	l.CacheHit("q", "P1", 0, 1)
+	l.CacheLoaded("P1", 0, 20)
+	// A second read of P1 in the same recurrence is not netted: a
+	// rebuilt cache would pay it too.
+	l.CacheLoaded("P1", 0, 15)
+	// P2 is read without a hit (freshly built and consumed).
+	l.CacheLoaded("P2", 0, 10)
+	// P9 was never registered: the hit credits nothing and arms no
+	// adjustment.
+	l.CacheHit("q", "P9", 0, 1)
+	l.CacheLoaded("P9", 0, 500)
+
+	snap := l.Snapshot()[0]
+	if snap.SavedNS != 80 {
+		t.Fatalf("saved = %d, want 100 - 20 = 80", snap.SavedNS)
+	}
+	if snap.CacheHits != 1 {
+		t.Fatalf("hits = %d, want 1 (the unregistered hit does not count)", snap.CacheHits)
+	}
+	if err := l.CheckConservation(1 << 60); err != nil {
+		t.Fatalf("CheckConservation: %v", err)
+	}
+}
+
+// TestLedgerViolationDetected: a netted load larger than the recompute
+// its hit credited fails CheckConservation; one equal to it, or one on
+// a cache that was not hit, does not.
+func TestLedgerViolationDetected(t *testing.T) {
+	l := New()
+	l.Register("q", "")
+	l.CacheRegistered("q", "P1", 0, 100, 0, 10)
+	l.CacheLoaded("P1", 0, 50) // no hit armed: not a reuse
+	l.CacheHit("q", "P1", 0, 1)
+	l.CacheLoaded("P1", 0, 10) // break-even: allowed
+	if err := l.CheckConservation(1 << 60); err != nil {
+		t.Fatalf("CheckConservation rejected a break-even reuse: %v", err)
+	}
+	l.CacheHit("q", "P1", 0, 2)
+	l.CacheLoaded("P1", 0, 50)
+	err := l.CheckConservation(1 << 60)
+	if err == nil {
+		t.Fatal("CheckConservation accepted a load cost exceeding the recompute cost")
+	}
+	if !strings.Contains(err.Error(), "query q") {
+		t.Fatalf("violation does not name the query: %v", err)
+	}
+	// The check honours the query filter.
+	l.Register("other", "")
+	if err := l.CheckConservation(1<<60, "other"); err != nil {
+		t.Fatalf("violation leaked into another query's check: %v", err)
+	}
+}
+
 func TestSlotComputeExcludesShuffle(t *testing.T) {
 	l := New()
 	l.Register("a", "")

@@ -1126,10 +1126,10 @@ type cacheTask struct {
 // work is the supplied extra duration. The recorded task span depends
 // on the spans that produced the caches this recurrence (a carried-over
 // cache contributes no edge — the hit short-circuits the walk), and
-// each named cache's load cost is emitted as a cache.load event for the
-// profiler's benefit ledger. The slot time is split for the cost
-// ledger: the cache-load share under PhaseCacheLoad, the supplied work
-// under the caller's phase, summing exactly to the node's AddLoad.
+// each named cache's load cost nets the saving of a hit on it. The
+// slot time is split for the cost ledger: the cache-load share under
+// PhaseCacheLoad, the supplied work under the caller's phase, summing
+// exactly to the node's AddLoad.
 func (e *Engine) runCacheTask(name string, phase account.Phase, ready simtime.Time, caches []cacheRef, work simtime.Duration) cacheTask {
 	locs := make([]CacheLoc, len(caches))
 	deps := make([]obs.SpanID, 0, len(caches))
@@ -1155,15 +1155,9 @@ func (e *Engine) runCacheTask(name string, phase account.Phase, ready simtime.Ti
 		}
 		e.obs.Counter("redoop_cache_read_bytes_total", obs.L("locality", locality)).Add(float64(c.bytes))
 		if c.pid != "" {
-			loadNS := e.mr.Cost.CacheRead(c.bytes, local)
-			e.obs.Emit(start, eventlog.CacheLoad, e.query.Name, eventlog.CacheLoadData{
-				PID: c.pid, Node: node.ID, Local: local, Bytes: c.bytes,
-				LoadNS:     int64(loadNS),
-				Recurrence: e.NextRecurrence(),
-			})
 			// Net a hit's saving by the load actually paid (no-op for
 			// caches that were not hit this recurrence).
-			e.acct.CacheLoaded(c.pid, int(c.typ), loadNS)
+			e.acct.CacheLoaded(c.pid, int(c.typ), e.mr.Cost.CacheRead(c.bytes, local))
 		}
 	}
 	span := e.obs.Task(obs.TaskSpan{

@@ -8,6 +8,8 @@ import (
 
 	"redoop/internal/account"
 	"redoop/internal/chaos"
+	"redoop/internal/core"
+	"redoop/internal/obs"
 	"redoop/internal/simtime"
 )
 
@@ -19,7 +21,8 @@ var ledgerSoakSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
 // TestChaosLedgerConservation drives the agg and join regimes through
 // eight distinct chaos storms with a cost ledger attached. The oracle's
 // accounting pass runs after every window (slot compute ≤ cluster busy
-// time, residencies reconcile with controller signatures), and the test
+// time, no netted cache load above the recompute its hit saved,
+// residencies reconcile with controller signatures), and the test
 // re-checks the ledger's terminal state: compute and occupancy were
 // actually metered, and no residency leaked past retirement.
 func TestChaosLedgerConservation(t *testing.T) {
@@ -156,5 +159,59 @@ func TestLedgerExpiredResidenciesStopAccruing(t *testing.T) {
 	if math.Abs(got-want) > 1e-6*math.Max(want, 1) {
 		t.Fatalf("byte·seconds grew by %g over %ds but %d bytes are open (want %g): an expired residency is still accruing",
 			got, deltaSec, openBytes, want)
+	}
+}
+
+// TestLedgerHitsMatchLookupMetric ties two independent measurements of
+// cache reuse together on the Figure 6 configuration (4 windows, 60000
+// records per window): the account ledger's per-query CacheHits must
+// sum to the redoop_cache_lookups_total{result="hit"} counter, and the
+// ledger must pass its conservation check (including the per-hit
+// load ≤ recompute rule) over the whole figure.
+func TestLedgerHitsMatchLookupMetric(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Figure 6 run skipped in -short mode")
+	}
+	cfg := Default()
+	cfg.Windows = 4
+	cfg.RecordsPerWindow = 60000
+	cfg.Obs = obs.New()
+	cfg.Account = account.New()
+	var engines []*core.Engine
+	cfg.OnEngine = func(e *core.Engine) { engines = append(engines, e) }
+	if _, err := Fig6(cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	var ledgerHits int
+	for _, qc := range cfg.Account.Snapshot() {
+		ledgerHits += qc.CacheHits
+	}
+	var metricHits float64
+	for _, c := range cfg.Obs.Metrics.Counters() {
+		if c.Name() != "redoop_cache_lookups_total" {
+			continue
+		}
+		for _, l := range c.Labels() {
+			if l.Key == "result" && l.Value == "hit" {
+				metricHits += c.Value()
+			}
+		}
+	}
+	if ledgerHits == 0 {
+		t.Fatal("Figure 6 produced no cache hits")
+	}
+	if float64(ledgerHits) != metricHits {
+		t.Fatalf("ledger counts %d cache hits, lookup metric counts %v", ledgerHits, metricHits)
+	}
+
+	var busy int64
+	for _, e := range engines {
+		for _, n := range e.MR().Cluster.Nodes() {
+			busy += int64(n.Load())
+		}
+	}
+	if err := cfg.Account.CheckConservation(busy); err != nil {
+		t.Fatalf("conservation: %v", err)
 	}
 }

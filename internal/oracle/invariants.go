@@ -165,9 +165,11 @@ func (o *Oracle) checkMatrixAndCaches(res *core.RecurrenceResult, v *Verdict) {
 // checkAccounting asserts the cost ledger's conservation invariants
 // when one is attached (see internal/account): the query's slot-held
 // compute cannot exceed the cluster's total accrued busy time (every
-// metered nanosecond was also charged to a node via AddLoad), the
-// ledger's residency counters must reconcile (registered = expired +
-// open), and every residency still accruing byte·seconds must map to a
+// metered nanosecond was also charged to a node via AddLoad), no cache
+// load netted against a hit may exceed the recompute the hit credited
+// (a reuse never costs more than it saved), the ledger's residency
+// counters must reconcile (registered = expired + open), and every
+// residency still accruing byte·seconds must map to a
 // live CacheAvailable controller signature of the same size — occupancy
 // may only be charged for bytes the scheduler can actually find.
 // Chaos-dropped caches are discovered lazily (§5) at the next lookup,

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"redoop/internal/account"
 	"redoop/internal/chaos"
+	"redoop/internal/core"
 	"redoop/internal/experiments"
 	"redoop/internal/obs"
 	"redoop/internal/profile"
@@ -33,14 +35,15 @@ func profCfg(seed int64) experiments.Config {
 
 // TestProfileRealRun analyzes a clean oracle-checked aggregation run:
 // every recurrence's critical path must tile its measured wall-clock
-// exactly, the steady-state windows must show cache benefit, and the
+// exactly, the account ledger must show cache benefit, and the
 // report/flamegraph exporters must produce non-trivial output.
 func TestProfileRealRun(t *testing.T) {
 	cfg := profCfg(42)
+	cfg.Account = account.New()
 	if _, err := cfg.RunChaosRegime("agg"); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	p := profile.Analyze(cfg.Obs.Tracer.Events(), cfg.Obs.Events.Events())
+	p := profile.Analyze(cfg.Obs.Tracer.Events())
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
@@ -60,22 +63,15 @@ func TestProfileRealRun(t *testing.T) {
 	}
 	// With 75% window overlap, every window after the first reuses
 	// cached panes; the ledger must show strictly positive savings.
-	if len(p.Ledger) == 0 {
-		t.Fatal("no cache-benefit ledger entries despite overlapping windows")
-	}
-	var saved simtime.Duration
-	for _, rec := range p.Recurrences[1:] {
-		saved += rec.TimeSaved
-	}
-	if saved <= 0 {
-		t.Fatalf("steady-state recurrences saved %v, want > 0", saved)
+	if snap := cfg.Account.Snapshot(); len(snap) != 1 || snap[0].CacheHits == 0 || snap[0].SavedNS <= 0 {
+		t.Fatalf("ledger shows no cache benefit despite overlapping windows: %+v", snap)
 	}
 
 	var report bytes.Buffer
 	if err := p.Text(&report, 5); err != nil {
 		t.Fatalf("Text: %v", err)
 	}
-	for _, want := range []string{"critical path", "cache time saved", "top 5 critical-path segments"} {
+	for _, want := range []string{"critical path", "top 5 critical-path segments"} {
 		if !strings.Contains(report.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, report.String())
 		}
@@ -92,8 +88,9 @@ func TestProfileRealRun(t *testing.T) {
 // TestLedgerInvariantChaosSoak sweeps eight chaos seeds through the
 // aggregation and join regimes: whatever the fault storm does —
 // crashes, cache drops, stragglers, delayed batches — every pane
-// served from cache must still save time (modeled recompute ≥ load)
-// and every critical path must still tile its recurrence exactly.
+// served from cache must still save time (the account ledger's
+// recompute ≥ netted load check) and every critical path must still
+// tile its recurrence exactly.
 func TestLedgerInvariantChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
@@ -107,10 +104,20 @@ func TestLedgerInvariantChaosSoak(t *testing.T) {
 					t.Fatalf("generate schedule: %v", err)
 				}
 				cfg.Chaos = sched
+				cfg.Account = account.New()
+				var eng *core.Engine
+				cfg.OnEngine = func(e *core.Engine) { eng = e }
 				if _, err := cfg.RunChaosRegime(regime); err != nil {
 					t.Fatalf("%s under %s: %v", regime, sched, err)
 				}
-				p := profile.Analyze(cfg.Obs.Tracer.Events(), cfg.Obs.Events.Events())
+				var busy int64
+				for _, n := range eng.MR().Cluster.Nodes() {
+					busy += int64(n.Load())
+				}
+				if err := cfg.Account.CheckConservation(busy); err != nil {
+					t.Errorf("seed %d %s: %v", seed, regime, err)
+				}
+				p := profile.Analyze(cfg.Obs.Tracer.Events())
 				if err := p.CheckInvariants(); err != nil {
 					t.Errorf("seed %d %s: %v", seed, regime, err)
 				}

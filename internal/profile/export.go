@@ -116,11 +116,10 @@ func (p *Profile) WriteCritPathTrace(w io.Writer) error {
 		track := "critical-path:" + rec.Query
 		span(fmt.Sprintf("recurrence %d", rec.Index), "recurrence", track,
 			rec.Start, rec.End, map[string]any{
-				"wallNS":  int64(rec.Wall),
-				"taskNS":  int64(rec.CritTask),
-				"waitNS":  int64(rec.CritWait),
-				"gapNS":   int64(rec.CritGap),
-				"savedNS": int64(rec.TimeSaved),
+				"wallNS": int64(rec.Wall),
+				"taskNS": int64(rec.CritTask),
+				"waitNS": int64(rec.CritWait),
+				"gapNS":  int64(rec.CritGap),
 			})
 		for _, s := range rec.CritPath {
 			name := s.Name
@@ -161,7 +160,7 @@ func (p *Profile) WriteCritPathTraceFile(path string) error {
 // --- human-readable report ---
 
 // Text writes the `redoopctl profile` report: per query, the summed
-// critical path, cache time saved, phase breakdown, and the top-k
+// critical path, phase breakdown, and the top-k
 // critical-path segments by duration across all recurrences.
 func (p *Profile) Text(w io.Writer, topK int) error {
 	if topK <= 0 {
@@ -174,8 +173,8 @@ func (p *Profile) Text(w io.Writer, topK int) error {
 	sort.Strings(qnames)
 	for _, name := range qnames {
 		q := p.Queries[name]
-		fmt.Fprintf(w, "query %s: %d recurrence(s), critical path %v, cache time saved %v\n",
-			name, len(q.Recurrences), q.CritPath, q.TimeSaved)
+		fmt.Fprintf(w, "query %s: %d recurrence(s), critical path %v\n",
+			name, len(q.Recurrences), q.CritPath)
 
 		var cats []string
 		for cat := range q.Phases {
@@ -222,10 +221,6 @@ func (p *Profile) Text(w io.Writer, topK int) error {
 			fmt.Fprintf(w, "    %9v  r%-3d %-5s %-24s %s\n",
 				r.seg.Dur(), r.rec, r.seg.Kind, name, r.seg.Track)
 		}
-	}
-	if len(p.Ledger) > 0 {
-		fmt.Fprintf(w, "cache-benefit ledger: %d reused pane(s), total time saved %v\n",
-			len(p.Ledger), p.TimeSaved())
 	}
 	return nil
 }

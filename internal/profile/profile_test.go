@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"redoop/internal/obs"
-	"redoop/internal/obs/eventlog"
 	"redoop/internal/simtime"
 )
 
@@ -66,7 +65,7 @@ func TestDiamondCriticalPath(t *testing.T) {
 		span(4, 1, "reduce", "reduce p1", "node:2", 30, 30, 50, 2),
 		span(5, 1, "cachetask", "merge", "node:1", 80, 85, 100, 3, 4),
 	}
-	p := Analyze(spans, nil)
+	p := Analyze(spans)
 	if len(p.Recurrences) != 1 {
 		t.Fatalf("got %d recurrences, want 1", len(p.Recurrences))
 	}
@@ -109,7 +108,7 @@ func TestCacheHitShortCircuit(t *testing.T) {
 		root(1, "q", 3, 0, 50),
 		span(2, 1, "cachetask", "finalize p0", "node:0", 10, 20, 50),
 	}
-	p := Analyze(spans, nil)
+	p := Analyze(spans)
 	rec := p.Recurrences[0]
 	checkTiling(t, rec)
 	var kinds []string
@@ -135,7 +134,7 @@ func TestProactiveTaskClamp(t *testing.T) {
 		span(2, 1, "cachetask", "combine pane 3 p0", "node:0", 80, 80, 130),
 		span(3, 1, "reduce", "finalize", "node:0", 130, 130, 200, 2),
 	}
-	p := Analyze(spans, nil)
+	p := Analyze(spans)
 	rec := p.Recurrences[0]
 	checkTiling(t, rec)
 	first := rec.CritPath[0]
@@ -202,7 +201,7 @@ func TestCriticalPathVsBruteForce(t *testing.T) {
 		}
 		spans[0] = root(1, "q", 0, 0, latest)
 
-		p := Analyze(spans, nil)
+		p := Analyze(spans)
 		rec := p.Recurrences[0]
 		checkTiling(t, rec)
 
@@ -233,7 +232,7 @@ func TestPhaseAndNodeAttribution(t *testing.T) {
 	}
 	spans[1].Args = []obs.Label{obs.L("worker", "0")}
 	spans[2].Args = []obs.Label{obs.L("worker", "1")}
-	p := Analyze(spans, nil)
+	p := Analyze(spans)
 	rec := p.Recurrences[0]
 	if rec.Phases["map"] != 80 || rec.Phases["reduce"] != 30 {
 		t.Fatalf("phases = %v, want map 80, reduce 30", rec.Phases)
@@ -247,62 +246,6 @@ func TestPhaseAndNodeAttribution(t *testing.T) {
 	}
 	if rec.WorkerBusy["0"] != 40 || rec.WorkerBusy["1"] != 40 {
 		t.Fatalf("worker busy = %v, want 40 each", rec.WorkerBusy)
-	}
-}
-
-func TestLedger(t *testing.T) {
-	log := []eventlog.Event{
-		{Seq: 1, Type: eventlog.CacheRegister, Query: "q",
-			Data: eventlog.CacheData{PID: "P1", Bytes: 1000, Recurrence: 0, RecomputeNS: 100}},
-		{Seq: 2, Type: eventlog.CacheRegister, Query: "q",
-			Data: eventlog.CacheData{PID: "P2", Bytes: 500, Recurrence: 0, RecomputeNS: 50}},
-		{Seq: 3, Type: eventlog.CacheHit, Query: "q",
-			Data: eventlog.CacheData{PID: "P1", Bytes: 1000, Recurrence: 1}},
-		{Seq: 4, Type: eventlog.CacheLoad, Query: "q",
-			Data: eventlog.CacheLoadData{PID: "P1", LoadNS: 20, Recurrence: 1}},
-		{Seq: 5, Type: eventlog.CacheLoad, Query: "q",
-			Data: eventlog.CacheLoadData{PID: "P1", LoadNS: 15, Recurrence: 1}},
-		// P2 loaded without a hit this recurrence (freshly rebuilt and
-		// consumed): no ledger entry.
-		{Seq: 6, Type: eventlog.CacheLoad, Query: "q",
-			Data: eventlog.CacheLoadData{PID: "P2", LoadNS: 10, Recurrence: 1}},
-		// P9's registration fell off the ring: hit skipped.
-		{Seq: 7, Type: eventlog.CacheHit, Query: "q",
-			Data: eventlog.CacheData{PID: "P9", Recurrence: 1}},
-	}
-	spans := []obs.Event{root(1, "q", 1, 0, 100)}
-	p := Analyze(spans, log)
-	if len(p.Ledger) != 1 {
-		t.Fatalf("ledger has %d entries, want 1: %+v", len(p.Ledger), p.Ledger)
-	}
-	e := p.Ledger[0]
-	if e.PID != "P1" || e.Recurrence != 1 || e.Loads != 2 {
-		t.Fatalf("entry = %+v, want P1 r1 with 2 loads", e)
-	}
-	if e.Recompute != 100 || e.Load != 35 || e.Saved != 65 {
-		t.Fatalf("recompute/load/saved = %v/%v/%v, want 100/35/65", e.Recompute, e.Load, e.Saved)
-	}
-	if p.Recurrences[0].TimeSaved != 65 || p.Queries["q"].TimeSaved != 65 || p.TimeSaved() != 65 {
-		t.Fatalf("rollups = %v/%v/%v, want 65 everywhere",
-			p.Recurrences[0].TimeSaved, p.Queries["q"].TimeSaved, p.TimeSaved())
-	}
-	if err := p.CheckInvariants(); err != nil {
-		t.Fatalf("CheckInvariants: %v", err)
-	}
-}
-
-func TestLedgerViolationDetected(t *testing.T) {
-	log := []eventlog.Event{
-		{Seq: 1, Type: eventlog.CacheRegister, Query: "q",
-			Data: eventlog.CacheData{PID: "P1", RecomputeNS: 10}},
-		{Seq: 2, Type: eventlog.CacheHit, Query: "q",
-			Data: eventlog.CacheData{PID: "P1", Recurrence: 0}},
-		{Seq: 3, Type: eventlog.CacheLoad, Query: "q",
-			Data: eventlog.CacheLoadData{PID: "P1", LoadNS: 50, Recurrence: 0}},
-	}
-	p := Analyze(nil, log)
-	if err := p.CheckInvariants(); err == nil {
-		t.Fatal("CheckInvariants accepted a load cost exceeding the recompute cost")
 	}
 }
 
@@ -337,7 +280,7 @@ func TestWriteCritPathTrace(t *testing.T) {
 		span(3, 1, "map", "map b", "node:1", 0, 10, 70), // overlaps map a in time
 		span(4, 1, "reduce", "reduce", "node:0", 70, 70, 100, 2, 3),
 	}
-	p := Analyze(spans, nil)
+	p := Analyze(spans)
 	var buf bytes.Buffer
 	if err := p.WriteCritPathTrace(&buf); err != nil {
 		t.Fatalf("WriteCritPathTrace: %v", err)
@@ -401,7 +344,7 @@ func TestWriteFolded(t *testing.T) {
 	}
 	// An orphan span (no recurrence parent): folds under its track.
 	spans = append(spans, span(9, 0, "replication", "replicate /a", "dfs", 0, 0, 5_000))
-	p := Analyze(spans, nil)
+	p := Analyze(spans)
 	var buf bytes.Buffer
 	if err := p.WriteFolded(&buf); err != nil {
 		t.Fatalf("WriteFolded: %v", err)
